@@ -425,10 +425,13 @@ pub struct BatchConfig {
     /// `0` = `equivalent_auto` (one worker per CPU). Grid-level
     /// parallelism is chosen per call site instead (`*_par` methods).
     pub solver_threads: usize,
-    /// Slot budget of the shared transposition table every solver this
-    /// batch runs feeds ([`crate::ttable::TransTable`]). The table is
-    /// bounded (generational eviction), so this is a memory ceiling, not
-    /// a growth rate.
+    /// Slot budget of the transposition table
+    /// ([`crate::ttable::TransTable`]) the batch creates at its first
+    /// solver run and then feeds from every solver it runs; a batch whose
+    /// pairs the cheaper tiers decide allocates none, and one given a
+    /// table by [`BatchSolver::share_table`] never creates its own. The
+    /// table is bounded (generational eviction), so this is a memory
+    /// ceiling, not a growth rate.
     pub table_capacity: usize,
 }
 
@@ -459,8 +462,10 @@ pub struct BatchSolver {
     canon_verdicts: HashMap<(Box<[u8]>, u32), bool>,
     /// The transposition table shared by every solver this batch runs
     /// (tier 4: probed at the canonical root before the exact search, fed
-    /// by every search). May be shared with an outer engine (`fc serve`).
-    table: Arc<TransTable>,
+    /// by every search). May be shared with an outer engine (`fc serve`);
+    /// otherwise created at the first solver run. Until then every root
+    /// probe is a miss, exactly what an empty table would answer.
+    table: Option<Arc<TransTable>>,
     stats: BatchStats,
 }
 
@@ -472,28 +477,39 @@ impl BatchSolver {
 
     /// A batch solver with explicit tuning.
     pub fn with_config(arena: StructureArena, config: BatchConfig) -> BatchSolver {
-        let table = Arc::new(TransTable::new(config.table_capacity));
         BatchSolver {
             arena,
             config,
             verdicts: HashMap::new(),
             canon_verdicts: HashMap::new(),
-            table,
+            table: None,
             stats: BatchStats::default(),
         }
     }
 
-    /// Replaces the batch's transposition table with an externally shared
-    /// one (e.g. `fc serve`'s per-engine table), so verdict states persist
-    /// beyond this batch's lifetime.
+    /// Installs an externally shared transposition table (e.g. `fc
+    /// serve`'s per-engine table), so verdict states persist beyond this
+    /// batch's lifetime. The batch then never creates a table of its own.
     pub fn share_table(&mut self, table: Arc<TransTable>) {
-        self.table = table;
+        self.table = Some(table);
     }
 
-    /// The shared transposition table's own counters (hits, misses,
-    /// inserts, evictions, capacity).
+    /// The transposition table's own counters (hits, misses, inserts,
+    /// evictions, capacity). All zero, `capacity` included, until a table
+    /// exists: no solver has run and none was shared.
     pub fn table_stats(&self) -> TransTableStats {
-        self.table.stats()
+        self.table.as_ref().map(|t| t.stats()).unwrap_or_default()
+    }
+
+    /// The batch's table, created with [`BatchConfig::table_capacity`]
+    /// slots if none exists yet. Called only where a solver is about to
+    /// run.
+    fn solver_table(&mut self) -> Arc<TransTable> {
+        let capacity = self.config.table_capacity;
+        Arc::clone(
+            self.table
+                .get_or_insert_with(|| Arc::new(TransTable::new(capacity))),
+        )
     }
 
     /// The underlying arena.
@@ -594,7 +610,7 @@ impl BatchSolver {
         }
         let root_fp = self.root_fp_of(key.0, key.1, k);
         if let Some(fp) = root_fp {
-            if let Some(v) = self.table.probe_root(fp, k) {
+            if let Some(v) = self.table.as_ref().and_then(|t| t.probe_root(fp, k)) {
                 self.stats.solver.table_hits += 1;
                 // Differential path (the arith-tier discipline): the root
                 // entry identifies the canonical pair by a hash tag, so on
@@ -621,8 +637,9 @@ impl BatchSolver {
             }
             self.stats.solver.table_misses += 1;
         }
+        let table = self.solver_table();
         let mut solver =
-            EfSolver::new(self.arena.game(key.0, key.1)).with_table(Arc::clone(&self.table));
+            EfSolver::new(self.arena.game(key.0, key.1)).with_table(Arc::clone(&table));
         let verdict = match self.config.solver_threads {
             0 => solver.equivalent_auto(k),
             1 => solver.equivalent(k),
@@ -632,7 +649,7 @@ impl BatchSolver {
         self.stats.solver.absorb(&solver.stats());
         self.stats.solver.wall += solver.stats().wall;
         if let Some(fp) = root_fp {
-            self.table.insert_root(fp, k, verdict);
+            table.insert_root(fp, k, verdict);
         }
         if let Some(ck) = canon_key {
             self.canon_verdicts.insert(ck, verdict);
@@ -881,9 +898,9 @@ impl BatchSolver {
             return;
         }
         const CHUNK: usize = 4;
+        let table = &self.solver_table();
         let arena = &self.arena;
         let solver_threads = self.config.solver_threads;
-        let table = &self.table;
         let cursor = AtomicUsize::new(0);
         let mut merged: Vec<(usize, bool)> = Vec::with_capacity(jobs.len());
         let mut solver_stats = SolverStats::default();
@@ -936,7 +953,7 @@ impl BatchSolver {
                 self.canon_verdicts.insert(ck, verdict);
             }
             if let Some(fp) = self.root_fp_of(lo, hi, k) {
-                self.table.insert_root(fp, k, verdict);
+                table.insert_root(fp, k, verdict);
             }
             self.stats.pairs_solved += 1;
         }
@@ -1368,6 +1385,7 @@ mod tests {
         let (arena, ids) = StructureArena::for_words(&words);
         let mut first = BatchSolver::with_config(arena, config);
         first.share_table(Arc::clone(&table));
+        assert_eq!(first.table_stats().capacity, table.capacity() as u64);
         let v1 = first.equivalent(ids[0], ids[1], 2);
         assert_eq!(first.stats().pairs_solved, 1);
         let (arena2, ids2) = StructureArena::for_words(&words);
@@ -1381,6 +1399,47 @@ mod tests {
             "the shared table's root entry must decide the repeat pair"
         );
         assert!(second.stats().solver.table_hits >= 1);
+        // Both batches read and fed the shared table, never a private one.
+        assert_eq!(second.table_stats(), table.stats());
+        assert!(table.stats().inserts >= 1);
+    }
+
+    #[test]
+    fn cheap_tiers_alone_allocate_no_table() {
+        // Every pair of this set is decided by the arith, fingerprint or
+        // memo tiers, so no solver runs and no table is ever created.
+        let words: Vec<Word> = window(3).into_iter().take(11).collect();
+        let (arena, ids) = StructureArena::for_words(&words);
+        let mut batch = BatchSolver::new(arena);
+        let classes: Vec<Vec<Word>> = batch
+            .classify(&ids, 2)
+            .iter()
+            .map(|c| c.iter().map(|&i| words[i].clone()).collect())
+            .collect();
+        assert_eq!(classes, crate::hintikka::classes_naive(&words, 2));
+        assert_eq!(batch.stats().pairs_solved, 0);
+        assert_eq!(batch.table_stats(), TransTableStats::default());
+    }
+
+    #[test]
+    fn first_solver_run_allocates_the_configured_table() {
+        let config = BatchConfig {
+            use_fingerprints: false,
+            use_arith: false,
+            table_capacity: 5000,
+            ..BatchConfig::default()
+        };
+        let (arena, ids) = StructureArena::for_words(&[Word::from("aabb"), Word::from("abab")]);
+        let mut batch = BatchSolver::with_config(arena, config);
+        assert_eq!(batch.table_stats().capacity, 0);
+        batch.equivalent(ids[0], ids[1], 2);
+        assert_eq!(batch.stats().pairs_solved, 1);
+        assert_eq!(
+            batch.table_stats().capacity,
+            TransTable::new(5000).capacity() as u64,
+            "capacity rounds exactly as TransTable::new rounds"
+        );
+        assert!(batch.table_stats().inserts >= 1);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl FactorInterner {
         }
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     fn occupied(&self) -> usize {
         self.slots.iter().filter(|&&s| s != EMPTY).count()
     }
@@ -200,7 +200,7 @@ impl FactorBackend for DenseBackend {
         BackendKind::Dense
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     fn universe_len_recount(&self) -> usize {
         // Every factor occupies exactly one interner slot.
         self.interner.occupied()

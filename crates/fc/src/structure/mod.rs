@@ -114,9 +114,10 @@ pub trait FactorBackend {
     fn memory_bytes(&self) -> usize;
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
-    /// Recounts the universe from first principles (debug cross-check for
-    /// the `universe_len` consistency asserts).
-    #[cfg(debug_assertions)]
+    /// Recounts the universe from first principles (cross-check for the
+    /// debug `universe_len` consistency asserts and the backend tests,
+    /// which run in release test builds too).
+    #[cfg(any(test, debug_assertions))]
     fn universe_len_recount(&self) -> usize;
 }
 

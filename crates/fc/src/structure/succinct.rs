@@ -499,7 +499,7 @@ impl FactorBackend for SuccinctBackend {
         BackendKind::Succinct
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     fn universe_len_recount(&self) -> usize {
         // Re-derive |Facs(w)| = 1 + Σ_{s≠root} (len(s) − len(link(s)))
         // from the packed arrays.

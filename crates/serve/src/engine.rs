@@ -906,6 +906,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_yields_an_error_response() {
+        // 10⁶ nested arrays once overflowed the parsing thread's stack and
+        // aborted the whole process.
+        let e = engine();
+        let resp = e.handle(&"[".repeat(1_000_000));
+        assert!(resp.contains(r#""ok":false"#), "{resp}");
+        assert!(resp.contains("nesting deeper than"), "{resp}");
+        assert!(e.handle(r#"{"op":"ping"}"#).contains(r#""ok":true"#));
+    }
+
+    #[test]
     fn put_then_check_hits_the_plan_cache() {
         let e = engine();
         let put = e.handle(r#"{"op":"put","name":"d","text":"aabaab"}"#);

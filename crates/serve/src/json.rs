@@ -133,17 +133,23 @@ impl fmt::Display for Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap one request line of `[`s overflows
+/// the stack of the thread parsing it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
-/// Returns a byte-offset-tagged message on malformed input.
+/// Returns a byte-offset-tagged message on malformed input, including
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = JsonParser {
         bytes: src.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing input at byte {}", p.pos));
@@ -183,7 +189,14 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// One value, `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        if depth >= MAX_DEPTH && matches!(self.bytes.get(self.pos), Some(b'[' | b'{')) {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
         match self.bytes.get(self.pos) {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
@@ -199,7 +212,7 @@ impl JsonParser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
                         Some(b',') => self.pos += 1,
@@ -225,7 +238,7 @@ impl JsonParser<'_> {
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_ws();
-                    members.insert(key, self.value()?);
+                    members.insert(key, self.value(depth + 1)?);
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
                         Some(b',') => self.pos += 1,
@@ -353,6 +366,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -15,6 +15,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> whole workspace, release (every member crate's tests, incl. the differential suites)"
+cargo test --workspace --release --offline -q
+
 echo "==> solver perf smokes (E08 confirmation + P9 batch classify on Σ^≤4 k=2 + E08/E09 scan tripwires, release, generous budgets)"
 cargo test -q --offline --release -p fc-games --test perf_smoke -- --nocapture --skip pr10_
 
